@@ -22,16 +22,30 @@ kernels should keep it green at full depth:
 against the kernel registry (``repro.netsim.codegen.KERNELS``) and an
 unknown name exits with status 2 listing the available kernels.
 
-Exit status 0 iff every point is identical.
+``--cost`` checks the gate-level cost flow instead: every entry of the
+committed cost golden (``benchmarks/.cost_cache.json``, or the file
+named by ``--cost-golden``) is recomputed cold, with no cache, and must
+equal the committed delay, area, power, cell count and failure flag
+exactly:
+
+    PYTHONPATH=src python scripts/check_bit_identity.py --cost [-v]
+
+Exit status 0 iff every point is identical; 2 when nothing could be
+compared (empty matrix or golden).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.eval.cost import switch_allocator_costs, vc_allocator_costs
+from repro.eval.design_points import ALL_POINTS
 from repro.faults.plan import FaultPlan, LinkFault, StuckVC
 from repro.netsim.codegen import KERNELS
 from repro.netsim.simulator import SimulationConfig, build_network, run_simulation
@@ -149,6 +163,90 @@ def diff_payloads(got: dict, ref: dict, name: str = "fast") -> List[str]:
     return out
 
 
+COST_GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / ".cost_cache.json"
+
+# (kind, design point label, arch, arbiter, cache key version)
+CostGroup = Tuple[str, str, str, str, str]
+
+
+def cost_matrix(
+    golden: Dict[str, dict], labels: Optional[Iterable[str]] = None
+) -> List[CostGroup]:
+    """One cold cost call per (kind, design point, arch, arbiter) of the
+    golden, in golden order; ``labels`` restricts the design points."""
+    keep = None if labels is None else set(labels)
+    groups: Dict[CostGroup, None] = {}
+    for key in golden:
+        kind, label, arch, arbiter, _variant, version = key.split("|")
+        if keep is None or label in keep:
+            groups[(kind, label, arch, arbiter, version)] = None
+    return list(groups)
+
+
+def recompute_costs(group: CostGroup) -> Dict[str, dict]:
+    """Cold (``cache=None``) cost entries of one group, keyed as the
+    cost cache keys them."""
+    kind, label, arch, arbiter, version = group
+    point = {p.label: p for p in ALL_POINTS}[label]
+    fn = vc_allocator_costs if kind == "vc" else switch_allocator_costs
+    return {
+        f"{kind}|{label}|{arch}|{arbiter}|{r.variant}|{version}": asdict(r)
+        for r in fn(point, variants=[(arch, arbiter)], cache=None)
+    }
+
+
+def diff_costs(got: Dict[str, dict], golden: Dict[str, dict]) -> List[str]:
+    """Entry- and field-level differences (empty = identical)."""
+    out = []
+    for key, entry in got.items():
+        ref = golden.get(key)
+        if ref is None:
+            out.append(f"  {key}: recomputed but not in the golden")
+            continue
+        out.extend(diff_payloads(entry, ref, "recomputed"))
+    return out
+
+
+def check_costs(golden_path: Path, verbose: bool) -> int:
+    try:
+        golden = json.loads(golden_path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read cost golden {golden_path}: {exc}", file=sys.stderr)
+        return 2
+    groups = cost_matrix(golden)
+    if not groups:
+        print(
+            f"error: the cost golden {golden_path} is empty -- nothing was "
+            "compared, so bit identity is NOT established",
+            file=sys.stderr,
+        )
+        return 2
+    failures = 0
+    recomputed: Dict[str, dict] = {}
+    for group in groups:
+        t0 = time.perf_counter()
+        got = recompute_costs(group)
+        dt = time.perf_counter() - t0
+        recomputed.update(got)
+        problems = diff_costs(got, golden)
+        name = "/".join(group[:4])
+        if problems:
+            failures += 1
+            print(f"MISMATCH {name}")
+            for line in problems:
+                print(line)
+        elif verbose:
+            print(f"ok {name} ({len(got)} entries, {dt:.1f}s)")
+    missing = [key for key in golden if key not in recomputed]
+    for key in missing:
+        print(f"  {key}: in the golden but not recomputed")
+    if failures or missing:
+        print(f"{failures}/{len(groups)} cost groups differ from {golden_path}")
+        return 1
+    print(f"ALL IDENTICAL ({len(golden)} cost entries vs {golden_path.name})")
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -167,7 +265,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="print per-point timing"
     )
+    parser.add_argument(
+        "--cost",
+        action="store_true",
+        help="check the cost flow against the cost golden instead of the "
+        "simulation kernels",
+    )
+    parser.add_argument(
+        "--cost-golden",
+        type=Path,
+        default=COST_GOLDEN,
+        metavar="PATH",
+        help="cost golden for --cost (default: benchmarks/.cost_cache.json)",
+    )
     args = parser.parse_args(argv)
+    if args.cost:
+        return check_costs(args.cost_golden, args.verbose)
 
     bad = validate_kernels(args.kernel)
     if bad is not None:

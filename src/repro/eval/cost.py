@@ -78,12 +78,27 @@ class CostCache:
         return CostResult(**raw) if raw else None
 
     def put(self, key: str, result: CostResult) -> None:
+        """Record ``result`` and rewrite the cache file.
+
+        The file is written to a temp file next to it and moved into
+        place with ``os.replace``, so a crash mid-write leaves the
+        previous cache intact instead of a truncated document.
+        """
         self._data[key] = asdict(result)
+        tmp = self.path.with_name(f"{self.path.name}.tmp{os.getpid()}")
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(json.dumps(self._data, indent=1))
+            with open(tmp, "w") as fh:
+                fh.write(json.dumps(self._data, indent=1))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
         except OSError:
-            pass  # cache is best-effort
+            # The cache is best-effort; drop a half-written temp file.
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
 
 
 def _run(key, cache, label, arch, arbiter, variant, fn) -> CostResult:

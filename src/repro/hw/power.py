@@ -16,23 +16,53 @@ leakage is summed per cell instance, scaled by drive size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .cells import CELL_INDEX, CELLS, VDD
-from .netlist import KIND_CONST0, KIND_CONST1, KIND_INPUT, Netlist
-from .timing import analyze_timing, compute_loads
+from .netlist import KIND_CONST1, KIND_INPUT, Netlist
+from .plan import INPUT_CAP, LEAKAGE, netlist_plan, sequential_sum, size_array
+from .timing import TimingReport, analyze_timing, compute_loads
 
 __all__ = ["PowerReport", "signal_probabilities", "analyze_power"]
 
 _DFF = CELL_INDEX["DFF"]
-_INV = CELL_INDEX["INV"]
-_BUF = CELL_INDEX["BUF"]
-_NAND2 = CELL_INDEX["NAND2"]
-_NOR2 = CELL_INDEX["NOR2"]
-_AND = {CELL_INDEX["AND2"], CELL_INDEX["AND3"], CELL_INDEX["AND4"]}
-_OR = {CELL_INDEX["OR2"], CELL_INDEX["OR3"], CELL_INDEX["OR4"]}
-_XOR2 = CELL_INDEX["XOR2"]
-_MUX2 = CELL_INDEX["MUX2"]
+
+
+def _and(*ins: np.ndarray) -> np.ndarray:
+    # ``1.0 * a`` is ``a`` exactly, so the product needs no 1.0 seed.
+    p = ins[0]
+    for x in ins[1:]:
+        p = p * x
+    return p
+
+
+def _or(*ins: np.ndarray) -> np.ndarray:
+    q = 1.0 - ins[0]
+    for x in ins[1:]:
+        q = q * (1.0 - x)
+    return 1.0 - q
+
+
+# One-probability of a cell's output from its inputs' one-probabilities
+# (spatial independence), per cell kind; MUX2 inputs are (d0, d1, sel).
+# Each formula applies the scalar per-net formula's IEEE operations in
+# the same order, elementwise over a group of gates.
+_PROBABILITY: Dict[int, Callable[..., np.ndarray]] = {
+    CELL_INDEX["INV"]: lambda a: 1.0 - a,
+    CELL_INDEX["BUF"]: lambda a: a,
+    CELL_INDEX["NAND2"]: lambda a, b: 1.0 - a * b,
+    CELL_INDEX["NOR2"]: lambda a, b: (1.0 - a) * (1.0 - b),
+    CELL_INDEX["AND2"]: _and,
+    CELL_INDEX["AND3"]: _and,
+    CELL_INDEX["AND4"]: _and,
+    CELL_INDEX["OR2"]: _or,
+    CELL_INDEX["OR3"]: _or,
+    CELL_INDEX["OR4"]: _or,
+    CELL_INDEX["XOR2"]: lambda a, b: a * (1.0 - b) + b * (1.0 - a),
+    CELL_INDEX["MUX2"]: lambda d0, d1, s: d0 * (1.0 - s) + d1 * s,
+}
 
 
 def signal_probabilities(
@@ -40,62 +70,35 @@ def signal_probabilities(
     input_probability: float = 0.5,
     max_iterations: int = 8,
     tolerance: float = 1e-4,
-) -> List[float]:
-    """One-probability of each net under independence assumptions."""
-    n = nl.num_nets
-    probs = [0.0] * n
-    kinds = nl.kinds
-    fanins = nl.fanins
+) -> np.ndarray:
+    """One-probability of each net under independence assumptions.
 
+    Each sweep evaluates the combinational logic level by level from the
+    current register values, then copies every register from its D net
+    (in ``reg_d`` order); sweeps stop once no register moves by
+    ``tolerance`` or after ``max_iterations``.
+    """
+    plan = netlist_plan(nl)
+    probs = np.zeros(plan.num_nets)
+    probs[plan.kinds == KIND_INPUT] = input_probability
+    probs[plan.kinds == KIND_CONST1] = 1.0
     # Register outputs start at 0.5 and are iterated to a fixed point.
-    for nid, k in enumerate(kinds):
-        if k == KIND_INPUT:
-            probs[nid] = input_probability
-        elif k == KIND_CONST1:
-            probs[nid] = 1.0
-        elif k == _DFF:
-            probs[nid] = 0.5
+    probs[plan.dffs] = 0.5
+
+    steps: List[Tuple[np.ndarray, Callable[..., np.ndarray], np.ndarray]] = []
+    for kind, start, end in plan.groups:
+        formula = _PROBABILITY.get(kind)
+        if formula is None:  # pragma: no cover - new cells must be added
+            raise NotImplementedError(f"probability model for {CELLS[kind].name}")
+        pins = plan.cols[: CELLS[kind].num_inputs, start:end]
+        steps.append((plan.order[start:end], formula, pins))
 
     for _ in range(max_iterations):
-        worst_change = 0.0
-        for nid in range(n):
-            k = kinds[nid]
-            if k < 0 or k == _DFF:
-                continue
-            f = fanins[nid]
-            if k == _INV:
-                p = 1.0 - probs[f[0]]
-            elif k == _BUF:
-                p = probs[f[0]]
-            elif k in _AND:
-                p = 1.0
-                for x in f:
-                    p *= probs[x]
-            elif k in _OR:
-                q = 1.0
-                for x in f:
-                    q *= 1.0 - probs[x]
-                p = 1.0 - q
-            elif k == _NAND2:
-                p = 1.0 - probs[f[0]] * probs[f[1]]
-            elif k == _NOR2:
-                p = (1.0 - probs[f[0]]) * (1.0 - probs[f[1]])
-            elif k == _XOR2:
-                a, b = probs[f[0]], probs[f[1]]
-                p = a * (1.0 - b) + b * (1.0 - a)
-            elif k == _MUX2:
-                d0, d1, s = probs[f[0]], probs[f[1]], probs[f[2]]
-                p = d0 * (1.0 - s) + d1 * s
-            else:  # pragma: no cover - new cells must be added here
-                raise NotImplementedError(f"probability model for {CELLS[k].name}")
-            probs[nid] = p
-
-        # Update register outputs from their D nets.
-        for q, d in nl.reg_d.items():
-            change = abs(probs[q] - probs[d])
-            if change > worst_change:
-                worst_change = change
-            probs[q] = probs[d]
+        for nets, formula, pins in steps:
+            probs[nets] = formula(*[probs[p] for p in pins])
+        new = probs[plan.reg_src]
+        worst_change = float(np.max(np.abs(probs[plan.reg_q] - new), initial=0.0))
+        probs[plan.reg_q] = new
         if worst_change < tolerance:
             break
     return probs
@@ -118,41 +121,36 @@ def analyze_power(
     nl: Netlist,
     frequency_ghz: Optional[float] = None,
     input_probability: float = 0.5,
+    timing: Optional[TimingReport] = None,
 ) -> PowerReport:
     """Dynamic + leakage power.
 
     If ``frequency_ghz`` is omitted the design is assumed to run at its
-    own minimum cycle time (as a synthesis report would).
+    own minimum cycle time (as a synthesis report would).  ``timing``, a
+    report of ``nl`` as it stands, supplies that cycle time and the net
+    loads so no timing analysis reruns.
     """
     if frequency_ghz is None:
-        frequency_ghz = analyze_timing(nl).min_cycle_ghz
+        if timing is None:
+            timing = analyze_timing(nl)
+        frequency_ghz = timing.min_cycle_ghz
+    loads = timing.loads if timing is not None else compute_loads(nl)
     probs = signal_probabilities(nl, input_probability)
-    loads = compute_loads(nl)
+    plan = netlist_plan(nl)
+    sizes = size_array(nl)
 
-    # Dynamic: 0.5 * alpha * C * V^2 * f per net.
+    # Dynamic: 0.5 * alpha * C * V^2 * f per net, alpha = 2 * P * (1 - P).
     # fF * V^2 * GHz = 1e-15 F * 1e9 Hz * V^2 = 1e-6 W = 1e-3 mW.
-    dyn = 0.0
-    kinds = nl.kinds
-    for nid in range(nl.num_nets):
-        if kinds[nid] == KIND_CONST0 or kinds[nid] == KIND_CONST1:
-            continue
-        p = probs[nid]
-        alpha = 2.0 * p * (1.0 - p)
-        dyn += alpha * loads[nid]
+    nonconst = plan.kinds >= KIND_INPUT
+    p = probs[nonconst]
+    dyn = sequential_sum(2.0 * p * (1.0 - p) * loads[nonconst])
     dynamic_mw = 0.5 * dyn * VDD * VDD * frequency_ghz * 1e-3
 
     # Clock tree power for registers: each DFF clock pin toggles every
     # cycle (alpha = 1) with a pin cap comparable to its D pin.
-    clk_cap = sum(
-        CELLS[_DFF].input_cap_ff * nl.sizes[nid]
-        for nid, k in enumerate(kinds)
-        if k == _DFF
-    )
+    clk_cap = sequential_sum(INPUT_CAP[_DFF] * sizes[plan.dffs])
     dynamic_mw += 0.5 * 2.0 * clk_cap * VDD * VDD * frequency_ghz * 1e-3
 
-    leak_nw = 0.0
-    leaks = [c.leakage_nw for c in CELLS]
-    for nid, k in enumerate(kinds):
-        if k >= 0:
-            leak_nw += leaks[k] * nl.sizes[nid]
+    cells = plan.kinds >= 0
+    leak_nw = sequential_sum(LEAKAGE[plan.kinds[cells]] * sizes[cells])
     return PowerReport(dynamic_mw, leak_nw * 1e-6, frequency_ghz)

@@ -3,18 +3,30 @@
 Per-gate delay is ``d = TAU_PS * (p + g * h)`` where ``h`` is the
 electrical effort ``C_load / C_in`` of the driving gate; register Q pins
 launch at the DFF clk-to-q parasitic and register D pins (plus primary
-outputs) are capture endpoints with a setup allowance.  Because netlist
-creation order is a topological order (see :mod:`repro.hw.netlist`),
-arrival times are computed in one linear sweep.
+outputs) are capture endpoints with a setup allowance.  Loads and
+arrivals are evaluated level by level over the netlist's levelized
+plan (:mod:`repro.hw.plan`), bit-identical to a one-net-at-a-time
+sweep in creation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Optional, Tuple
 
-from .cells import CELLS, TAU_PS, WIRE_CAP_FF
+import numpy as np
+from numpy.typing import ArrayLike
+
+from .cells import CELL_INDEX, CELLS, TAU_PS, WIRE_CAP_FF
 from .netlist import KIND_INPUT, Netlist
+from .plan import (
+    EFFORT,
+    INPUT_CAP,
+    PARASITIC,
+    NetlistPlan,
+    netlist_plan,
+    size_array,
+)
 
 __all__ = [
     "TimingReport",
@@ -27,70 +39,57 @@ __all__ = [
 # Register setup allowance, ps.
 SETUP_PS = 1.5 * TAU_PS
 
-_DFF_NAME = "DFF"
+_DFF = CELL_INDEX["DFF"]
+# Register clk-to-q launch time, ps.
+_CLK_TO_Q_PS = TAU_PS * CELLS[_DFF].parasitic
+# Primary outputs drive a nominal downstream load (4x INV).
+_OUTPUT_LOAD_FF = 4.0 * CELLS[0].input_cap_ff
 
 
-def compute_loads(nl: Netlist) -> List[float]:
-    """Output load (fF) per net: fanin pin caps plus wire cap per sink."""
-    loads = [0.0] * nl.num_nets
-    kinds = nl.kinds
-    sizes = nl.sizes
-    cin = [c.input_cap_ff for c in CELLS]
-    for nid, fanin in enumerate(nl.fanins):
-        k = kinds[nid]
-        if k < 0:
-            continue
-        pin = cin[k] * sizes[nid]
-        for f in fanin:
-            loads[f] += pin + WIRE_CAP_FF
-    dff_cin = CELLS[_dff_ix()].input_cap_ff
-    for q, d in nl.reg_d.items():
-        loads[d] += dff_cin * sizes[q] + WIRE_CAP_FF
-    # Primary outputs drive a nominal downstream load (4x INV).
-    inv_cin = CELLS[0].input_cap_ff
-    for out in nl.outputs:
-        loads[out] += 4.0 * inv_cin
+def _loads(plan: NetlistPlan, sizes: np.ndarray) -> np.ndarray:
+    # Pin contributions are added in (consumer id, pin) order, then
+    # register D pins, then output loads: ``np.add.at`` applies them in
+    # index order, so each net sums its terms in the reference order.
+    loads = np.zeros(plan.num_nets)
+    pin_caps = (INPUT_CAP[plan.kinds] * sizes)[plan.load_owner] + WIRE_CAP_FF
+    np.add.at(loads, plan.load_net, pin_caps)
+    np.add.at(loads, plan.outputs, _OUTPUT_LOAD_FF)
     return loads
 
 
-def _dff_ix() -> int:
-    from .cells import CELL_INDEX
+def _arrivals(plan: NetlistPlan, sizes: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    # Slot ``num_nets`` is the padding pin: arrival 0.0, the initial
+    # value of the worst-fanin maximum.
+    arrivals = np.zeros(plan.num_nets + 1)
+    arrivals[plan.dffs] = _CLK_TO_Q_PS
+    order, cols = plan.order, plan.cols
+    kinds = plan.kinds[order]
+    h = loads[order] / (INPUT_CAP[kinds] * sizes[order])
+    stage = TAU_PS * (PARASITIC[kinds] + EFFORT[kinds] * h)
+    for start, end, arity in plan.levels:
+        worst = arrivals[cols[0, start:end]]
+        for pin in range(1, arity):
+            np.maximum(worst, arrivals[cols[pin, start:end]], out=worst)
+        arrivals[order[start:end]] = worst + stage[start:end]
+    return arrivals[:-1]
 
-    return CELL_INDEX[_DFF_NAME]
+
+def compute_loads(nl: Netlist) -> np.ndarray:
+    """Output load (fF) per net: fanin pin caps plus wire cap per sink."""
+    return _loads(netlist_plan(nl), size_array(nl))
 
 
-def compute_arrivals(nl: Netlist, loads: List[float] = None) -> List[float]:
-    """Arrival time (ps) at every net, single topological sweep."""
+def compute_arrivals(
+    nl: Netlist, loads: Optional[ArrayLike] = None
+) -> np.ndarray:
+    """Arrival time (ps) at every net."""
+    plan = netlist_plan(nl)
+    sizes = size_array(nl)
     if loads is None:
-        loads = compute_loads(nl)
-    n = nl.num_nets
-    arrivals = [0.0] * n
-    kinds = nl.kinds
-    fanins = nl.fanins
-    sizes = nl.sizes
-    tau = TAU_PS
-    dff = _dff_ix()
-    # Pre-extract cell params to avoid attribute lookups in the loop.
-    g_of = [c.logical_effort for c in CELLS]
-    p_of = [c.parasitic for c in CELLS]
-    cin_of = [c.input_cap_ff for c in CELLS]
-
-    for nid in range(n):
-        k = kinds[nid]
-        if k < 0:
-            continue  # inputs/constants arrive at 0
-        if k == dff:
-            # Q launches clk-to-q after the edge.
-            arrivals[nid] = tau * p_of[dff]
-            continue
-        worst = 0.0
-        for f in fanins[nid]:
-            a = arrivals[f]
-            if a > worst:
-                worst = a
-        h = loads[nid] / (cin_of[k] * sizes[nid])
-        arrivals[nid] = worst + tau * (p_of[k] + g_of[k] * h)
-    return arrivals
+        load_arr = _loads(plan, sizes)
+    else:
+        load_arr = np.asarray(loads, dtype=np.float64)
+    return _arrivals(plan, sizes, load_arr)
 
 
 @dataclass
@@ -100,8 +99,8 @@ class TimingReport:
     delay_ps: float  # critical path delay incl. setup
     critical_endpoint: int  # net id of the worst endpoint
     critical_path: Tuple[int, ...]  # nets from a source to the endpoint
-    arrivals: List[float]
-    loads: List[float]
+    arrivals: np.ndarray  # ps per net
+    loads: np.ndarray  # fF per net
 
     @property
     def delay_ns(self) -> float:
@@ -114,29 +113,25 @@ class TimingReport:
 
 def analyze_timing(nl: Netlist) -> TimingReport:
     """Critical-path delay over all endpoints (outputs and register Ds)."""
-    loads = compute_loads(nl)
-    arrivals = compute_arrivals(nl, loads)
-
-    worst = -1.0
-    worst_net = -1
-    for out in nl.outputs:
-        a = arrivals[out] + SETUP_PS
-        if a > worst:
-            worst, worst_net = a, out
-    for _, d in nl.reg_d.items():
-        a = arrivals[d] + SETUP_PS
-        if a > worst:
-            worst, worst_net = a, d
-    if worst_net < 0:
+    plan = netlist_plan(nl)
+    if not len(plan.endpoints):
         raise ValueError("netlist has no timing endpoints")
+    sizes = size_array(nl)
+    loads = _loads(plan, sizes)
+    arrivals = _arrivals(plan, sizes, loads)
+
+    # Endpoints in order (outputs, then register Ds); the first worst wins.
+    ends = arrivals[plan.endpoints] + SETUP_PS
+    i = int(np.argmax(ends))
+    worst = float(ends[i])
+    worst_net = int(plan.endpoints[i])
 
     # Backtrack the critical path: repeatedly follow the latest fanin.
     path = [worst_net]
     node = worst_net
     kinds = nl.kinds
     fanins = nl.fanins
-    dff = _dff_ix()
-    while kinds[node] >= 0 and kinds[node] != dff and fanins[node]:
+    while kinds[node] >= 0 and kinds[node] != _DFF and fanins[node]:
         node = max(fanins[node], key=arrivals.__getitem__)
         path.append(node)
     path.reverse()
@@ -152,7 +147,6 @@ def format_critical_path(nl: Netlist, report: TimingReport = None) -> str:
     """
     if report is None:
         report = analyze_timing(nl)
-    from .cells import CELLS
 
     lines = [
         f"critical path of {nl.name or 'netlist'}: "

@@ -1,7 +1,9 @@
 """Robustness tests for the synthesis cost cache and report rendering."""
 
 import json
+import os
 
+from repro.eval import cost
 from repro.eval.cost import CostCache, CostResult
 from repro.hw.synthesis import SynthesisReport
 
@@ -34,6 +36,37 @@ class TestCostCacheRobustness:
         reread = CostCache(path).get("f")
         assert reread.failed
         assert reread.delay_ns is None
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.json"
+        cache = CostCache(str(path))
+        cache.put("a", CostResult("x", "wf", "rr", "dense", 1.0, 2.0, 3.0, 4))
+        before = path.read_bytes()
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cost.os, "fsync", disk_full)
+        cache.put("b", CostResult("x", "wf", "rr", "sparse", 5.0, 6.0, 7.0, 8))
+        assert path.read_bytes() == before  # old document, not a truncated one
+        assert os.listdir(tmp_path) == ["c.json"]  # temp file cleaned up
+        assert cache.get("b").delay_ns == 5.0  # still served from memory
+        assert set(json.loads(before)) == {"a"}
+
+    def test_put_writes_once_through_replace(self, tmp_path, monkeypatch):
+        replaced = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            replaced.append((str(src), str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cost.os, "replace", spy)
+        path = tmp_path / "c.json"
+        cache = CostCache(str(path))
+        cache.put("a", CostResult("x", "wf", "rr", "dense", 1.0, 2.0, 3.0, 4))
+        assert len(replaced) == 1 and replaced[0][1] == str(path)
+        assert os.path.dirname(replaced[0][0]) == str(tmp_path)
 
     def test_curve_property(self):
         r = CostResult("x", "sep_if", "m", "sparse", 1.0, 1.0, 1.0, 1)
